@@ -1,4 +1,4 @@
-.PHONY: build test ci ci-seeds chaos-smoke serve-smoke cluster-smoke watch-smoke bench bench-json bench-serve bench-serve-smoke bench-eval bench-eval-smoke bench-watch bench-watch-smoke clean
+.PHONY: build test ci ci-seeds chaos-smoke serve-smoke cluster-smoke watch-smoke bench bench-smoke bench-json bench-serve bench-serve-smoke bench-eval bench-eval-smoke bench-watch bench-watch-smoke clean
 
 build:
 	dune build @all
@@ -27,6 +27,7 @@ ci:
 	$(MAKE) bench-serve-smoke
 	$(MAKE) bench-eval-smoke
 	$(MAKE) bench-watch-smoke
+	$(MAKE) bench-smoke
 
 # Seed sweep: the fault-injection and cluster harnesses re-run under
 # several pinned MIRA_FAULT_SEED values.  Each seed draws a different
@@ -203,6 +204,13 @@ watch-smoke: build
 bench:
 	dune exec bench/main.exe -- --fast
 
+# CI smoke for the repository benchmark (perfbench/): every workload
+# for one second, untraced and traced, asserting each run is correct,
+# has no failed op and prints exactly the metrics BENCHMARK.json
+# declares.  Timings are not thresholds here.
+bench-smoke:
+	timeout --kill-after=10 900 python3 perfbench/run.py --smoke
+
 # Serving-layer benchmark: boots an in-process daemon and drives the
 # ping/eval/analyze mix at several connection counts, plus the
 # max-idle-connections probe.  Writes its numbers to
@@ -219,11 +227,11 @@ bench-serve: build
 bench-serve-smoke: build
 	timeout --kill-after=10 60 dune exec bin/mira.exe -- bench-serve --smoke
 
-# Eval-layer benchmark: one-shot interpretation vs interpreter plan vs
-# the compiled register program on five corpus kernels, every target
-# cross-checked against the interpreter before timing.  Writes
-# BENCH_eval.json — the number the "compiled model evaluation" work is
-# held to (>= 50x sweep throughput over interpreted evaluation).
+# Eval-layer benchmark: the tree-walking interpreter vs the compiled
+# register program on five corpus kernels, every target cross-checked
+# against the interpreter before timing.  Writes BENCH_eval.json — the
+# number the "compiled model evaluation" work is held to (>= 50x sweep
+# throughput over interpreted evaluation).
 bench-eval: build
 	dune exec bin/mira.exe -- bench-eval --json BENCH_eval.json
 

@@ -615,17 +615,17 @@ let write_bench_json sections =
   close_out oc;
   Printf.printf "\nwrote BENCH_batch.json\n"
 
-(* ---------- evaluation tiers: interpreted vs plan vs compiled ---------- *)
+(* ---------- evaluation tiers: interpreted vs compiled ---------- *)
 
 (* The headline eval-layer numbers live in BENCH_eval.json (`make
    bench-eval`); this section prints a quick in-context comparison so
    one `make bench` run shows where sweep throughput comes from. *)
 let eval_tiers () =
-  header "Evaluation tiers: one-shot interpreter vs plan vs compiled program";
+  header "Evaluation tiers: tree-walking interpreter vs compiled program";
   let min_time_s = if fast then 0.05 else 0.2 in
   let hi = if fast then 500 else 5_000 in
-  Printf.printf "  %-22s %14s %12s %12s %10s\n" "kernel" "interpreted"
-    "planned" "compiled" "evals/s";
+  Printf.printf "  %-22s %14s %12s %10s\n" "kernel" "interpreted" "compiled"
+    "evals/s";
   List.iter
     (fun (name, fname, fixed) ->
       match Mira_corpus.Corpus.find name with
@@ -644,9 +644,8 @@ let eval_tiers () =
                 tg_fixed = fixed;
               }
           in
-          Printf.printf
-            "  %-22s %11.1f ns %9.1f ns %9.2f ns %9.1fM\n" fname
-            r.Mira_core.Bench_eval.br_legacy_ns r.br_plan_ns r.br_compiled_ns
+          Printf.printf "  %-22s %11.1f ns %9.2f ns %9.1fM\n" fname
+            r.Mira_core.Bench_eval.br_interpreted_ns r.br_compiled_ns
             (r.br_compiled_eps /. 1e6))
     [
       ("stream", "stream_triad", []);

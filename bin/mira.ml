@@ -2220,8 +2220,8 @@ let dataset_cmd =
             (fun mn -> List.mem mn Mira_core.Model_eval.fp_mnemonics)
             mns
         in
-        (* per arch: the compiled program when one exists, else an
-           interpreter plan — rows are identical either way *)
+        (* per arch: the compiled program when one exists, else the
+           interpreter — rows are identical either way *)
         let eval_row =
           let cache = Mira_core.Model_compile.create_cache () in
           let digest = Digest.string (Mira_core.Mira.python_model m) in
@@ -2236,18 +2236,10 @@ let dataset_cmd =
                   let out = Mira_core.Model_compile.run runner args in
                   (out, Mira_core.Model_compile.cycles prog out)
             | Error _ ->
-                let plan =
-                  Mira_core.Model_eval.plan model ~fname
-                    ~params:(vars @ List.map fst fixed)
-                in
-                let env = Array.make (List.length vars + List.length fixed) 0 in
-                List.iteri
-                  (fun i (_, v) -> env.(List.length vars + i) <- v)
-                  fixed;
-                let out = Array.make (Array.length mns) 0.0 in
                 fun args ->
-                  Array.blit args 0 env 0 (Array.length args);
-                  Mira_core.Model_eval.run_plan_into plan env out;
+                  let env = List.mapi (fun i v -> (v, args.(i))) vars @ fixed in
+                  let counts = Mira_core.Model_eval.eval model ~fname ~env in
+                  let out = Array.of_list (List.map snd counts) in
                   let cycles = ref 0.0 in
                   Array.iteri
                     (fun i mn ->
@@ -2415,27 +2407,22 @@ let bench_eval_cmd =
                   }
               in
               Printf.eprintf
-                "bench-eval: %-10s %-12s %8.1f ns/eval interpreted, %7.1f \
-                 ns/eval planned, %6.2f ns/eval compiled (%.1fM evals/s, \
-                 %.0fx vs interpreter, %.0fx vs plan)\n\
+                "bench-eval: %-10s %-12s %8.1f ns/eval interpreted, %6.2f \
+                 ns/eval compiled (%.1fM evals/s, %.0fx vs interpreter)\n\
                  %!"
-                name fname r.Mira_core.Bench_eval.br_legacy_ns r.br_plan_ns
+                name fname r.Mira_core.Bench_eval.br_interpreted_ns
                 r.br_compiled_ns
                 (r.br_compiled_eps /. 1e6)
-                r.br_speedup_vs_legacy r.br_speedup_vs_plan;
+                r.br_speedup;
               r)
             targets
         in
-        let geomean f =
+        let gm =
           exp
-            (List.fold_left (fun a r -> a +. log (f r)) 0.0 results
+            (List.fold_left
+               (fun a r -> a +. log r.Mira_core.Bench_eval.br_speedup)
+               0.0 results
             /. float_of_int (List.length results))
-        in
-        let gm_legacy =
-          geomean (fun r -> r.Mira_core.Bench_eval.br_speedup_vs_legacy)
-        in
-        let gm_plan =
-          geomean (fun r -> r.Mira_core.Bench_eval.br_speedup_vs_plan)
         in
         let peak =
           List.fold_left
@@ -2443,10 +2430,10 @@ let bench_eval_cmd =
             0.0 results
         in
         Printf.eprintf
-          "bench-eval: geomean speedup %.0fx vs interpreter, %.0fx vs \
-           plan; peak %.1fM evals/s\n\
+          "bench-eval: geomean speedup %.0fx vs interpreter; peak %.1fM \
+           evals/s\n\
            %!"
-          gm_legacy gm_plan (peak /. 1e6);
+          gm (peak /. 1e6);
         match json_path with
         | None -> ()
         | Some path ->
@@ -2454,26 +2441,29 @@ let bench_eval_cmd =
             Buffer.add_string b "{\n";
             Buffer.add_string b "  \"bench\": \"eval\",\n";
             Printf.bprintf b "  \"label\": \"%s\",\n" label;
+            Printf.bprintf b
+              "  \"environment\": { \"os\": \"%s\", \"cpus\": %d, \
+               \"ocaml\": \"%s\" },\n"
+              Sys.os_type
+              (Domain.recommended_domain_count ())
+              Sys.ocaml_version;
             Buffer.add_string b "  \"targets\": [\n";
             List.iteri
               (fun i (r : Mira_core.Bench_eval.result) ->
                 Printf.bprintf b
                   "    { \"label\": \"%s\", \"function\": \"%s\", \
                    \"points\": %d, \"interpreted_ns_per_eval\": %.2f, \
-                   \"plan_ns_per_eval\": %.2f, \"compiled_ns_per_eval\": \
-                   %.3f, \"compiled_evals_per_s\": %.0f, \
-                   \"speedup_vs_interpreted\": %.1f, \"speedup_vs_plan\": \
-                   %.1f, \"prog_ops\": %d, \"max_rel_err\": %.3g }%s\n"
-                  r.br_label r.br_fname r.br_points r.br_legacy_ns
-                  r.br_plan_ns r.br_compiled_ns r.br_compiled_eps
-                  r.br_speedup_vs_legacy r.br_speedup_vs_plan r.br_prog_ops
-                  r.br_max_rel_err
+                   \"compiled_ns_per_eval\": %.3f, \"compiled_evals_per_s\": \
+                   %.0f, \"speedup_vs_interpreted\": %.1f, \"prog_ops\": %d, \
+                   \"max_rel_err\": %.3g }%s\n"
+                  r.br_label r.br_fname r.br_points r.br_interpreted_ns
+                  r.br_compiled_ns r.br_compiled_eps r.br_speedup
+                  r.br_prog_ops r.br_max_rel_err
                   (if i = List.length results - 1 then "" else ","))
               results;
             Buffer.add_string b "  ],\n";
             Printf.bprintf b "  \"geomean_speedup_vs_interpreted\": %.1f,\n"
-              gm_legacy;
-            Printf.bprintf b "  \"geomean_speedup_vs_plan\": %.1f,\n" gm_plan;
+              gm;
             Printf.bprintf b "  \"peak_compiled_evals_per_s\": %.0f\n" peak;
             Buffer.add_string b "}\n";
             if path = "-" then print_string (Buffer.contents b)
@@ -2506,9 +2496,9 @@ let bench_eval_cmd =
   Cmd.v
     (Cmd.info "bench-eval"
        ~doc:
-         "Benchmark the evaluation tiers on corpus kernels: one-shot \
-          interpretation vs a reusable interpreter plan vs the compiled \
-          register program (see README \"Compiled evaluation\").  Each \
+         "Benchmark the evaluation tiers on corpus kernels: the \
+          tree-walking interpreter vs the compiled register program (see \
+          README \"Compiled evaluation\").  Each \
           target is cross-checked against the interpreter before timing; \
           BENCH_eval.json records the numbers.")
     Term.(const run $ smoke $ json $ label)

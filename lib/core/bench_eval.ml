@@ -1,8 +1,8 @@
-(* Eval-layer microbenchmark: one-shot interpretation vs a reusable
-   interpreter plan vs the compiled register program, swept over one
-   variable.  The numbers go to BENCH_eval.json; correctness is the
-   differential suite's job, but each run still cross-checks a sample
-   of points so a benchmark of a wrong evaluator is impossible. *)
+(* Eval-layer microbenchmark: the tree-walking interpreter vs the
+   compiled register program, swept over one variable.  The numbers go
+   to BENCH_eval.json; correctness is the differential suite's job,
+   but each run still cross-checks a sample of points so a benchmark
+   of a wrong evaluator is impossible. *)
 
 type target = {
   tg_label : string;
@@ -19,14 +19,10 @@ type result = {
   br_label : string;
   br_fname : string;
   br_points : int;
-  br_legacy_ns : float;
-  br_plan_ns : float;
+  br_interpreted_ns : float;
   br_compiled_ns : float;
-  br_legacy_eps : float;
-  br_plan_eps : float;
   br_compiled_eps : float;
-  br_speedup_vs_plan : float;
-  br_speedup_vs_legacy : float;
+  br_speedup : float;
   br_prog_ops : int;
   br_max_rel_err : float;
 }
@@ -65,12 +61,6 @@ let run ?(min_time_s = default_min_time_s) ?(verify_points = 20) t =
   in
   let runner = Model_compile.runner prog in
   let args = [| 0 |] in
-  (* the reusable interpreter plan over the same parameter shape *)
-  let names = t.tg_sweep :: List.map fst t.tg_fixed in
-  let plan = Model_eval.plan model ~fname:t.tg_fname ~params:names in
-  let penv = Array.make (List.length names) 0 in
-  List.iteri (fun i (_, v) -> penv.(i + 1) <- v) t.tg_fixed;
-  let pout = Array.make (Array.length (Model_eval.plan_mnemonics plan)) 0.0 in
   (* cross-check a sample before timing anything *)
   let max_err = ref 0.0 in
   for k = 0 to verify_points - 1 do
@@ -90,8 +80,8 @@ let run ?(min_time_s = default_min_time_s) ?(verify_points = 20) t =
         (Printf.sprintf "Bench_eval: %s diverges at %s=%d (rel err %g)"
            t.tg_fname t.tg_sweep v !max_err)
   done;
-  (* 1. the one-shot interpreter: what every eval paid before plans *)
-  let legacy_pass () =
+  (* 1. the interpreter: one tree walk per eval *)
+  let interpreted_pass () =
     let acc = ref 0.0 in
     for v = t.tg_lo to t.tg_hi do
       let counts =
@@ -102,18 +92,7 @@ let run ?(min_time_s = default_min_time_s) ?(verify_points = 20) t =
     done;
     sink := !sink +. !acc
   in
-  (* 2. the plan: resolution and closure compilation hoisted, but the
-     symbolic content still walked per eval *)
-  let plan_pass () =
-    let acc = ref 0.0 in
-    for v = t.tg_lo to t.tg_hi do
-      penv.(0) <- v;
-      Model_eval.run_plan_into plan penv pout;
-      acc := !acc +. pout.(0)
-    done;
-    sink := !sink +. !acc
-  in
-  (* 3. the register program *)
+  (* 2. the register program *)
   let compiled_pass () =
     let acc = ref 0.0 in
     for v = t.tg_lo to t.tg_hi do
@@ -124,22 +103,22 @@ let run ?(min_time_s = default_min_time_s) ?(verify_points = 20) t =
     sink := !sink +. !acc
   in
   let fpoints = float_of_int points in
-  let per_eval pass = calibrated ~min_time_s pass /. fpoints in
-  let legacy_s = per_eval legacy_pass in
-  let plan_s = per_eval plan_pass in
+  (* each tier starts from a collected heap, so the interpreter's
+     garbage is not collected on the compiled tier's clock *)
+  let per_eval pass =
+    Gc.full_major ();
+    calibrated ~min_time_s pass /. fpoints
+  in
+  let interpreted_s = per_eval interpreted_pass in
   let compiled_s = per_eval compiled_pass in
   {
     br_label = t.tg_label;
     br_fname = t.tg_fname;
     br_points = points;
-    br_legacy_ns = legacy_s *. 1e9;
-    br_plan_ns = plan_s *. 1e9;
+    br_interpreted_ns = interpreted_s *. 1e9;
     br_compiled_ns = compiled_s *. 1e9;
-    br_legacy_eps = 1.0 /. legacy_s;
-    br_plan_eps = 1.0 /. plan_s;
     br_compiled_eps = 1.0 /. compiled_s;
-    br_speedup_vs_plan = plan_s /. compiled_s;
-    br_speedup_vs_legacy = legacy_s /. compiled_s;
+    br_speedup = interpreted_s /. compiled_s;
     br_prog_ops = Model_compile.n_ops prog;
     br_max_rel_err = !max_err;
   }

@@ -1,11 +1,10 @@
-(** Eval-layer microbenchmark: sweep-throughput of the three
-    evaluation tiers — one-shot {!Model_eval.eval}, a reusable
-    {!Model_eval.plan}, and the {!Model_compile} register program —
-    over one swept variable.  [mira bench-eval] renders the results
-    into [BENCH_eval.json]; every run cross-checks a sample of sweep
-    points against the interpreter first (failing loudly on
-    divergence), so the recorded throughput is always that of a
-    correct evaluator. *)
+(** Eval-layer microbenchmark: sweep-throughput of the two evaluation
+    tiers — the {!Model_eval.eval} tree walk and the {!Model_compile}
+    register program — over one swept variable.  [mira bench-eval]
+    renders the results into [BENCH_eval.json]; every run cross-checks
+    a sample of sweep points against the interpreter first (failing
+    loudly on divergence), so the recorded throughput is always that
+    of a correct evaluator. *)
 
 type target = {
   tg_label : string;  (** name recorded in the result *)
@@ -22,14 +21,10 @@ type result = {
   br_label : string;
   br_fname : string;
   br_points : int;  (** evals per pass *)
-  br_legacy_ns : float;  (** per-eval, one-shot interpretation *)
-  br_plan_ns : float;  (** per-eval, hoisted plan *)
+  br_interpreted_ns : float;  (** per-eval, tree walk *)
   br_compiled_ns : float;  (** per-eval, register program *)
-  br_legacy_eps : float;  (** evals/second *)
-  br_plan_eps : float;
-  br_compiled_eps : float;
-  br_speedup_vs_plan : float;
-  br_speedup_vs_legacy : float;
+  br_compiled_eps : float;  (** evals/second, register program *)
+  br_speedup : float;  (** compiled over interpreted throughput *)
   br_prog_ops : int;  (** compiled program length *)
   br_max_rel_err : float;  (** observed in the verification sample *)
 }

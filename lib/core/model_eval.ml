@@ -31,9 +31,9 @@ let eval_mult fname env (m : Model_ir.mult) : float =
 (* The set of mnemonics an evaluation can touch is static per
    (model, fname): the union of Update count vectors over the
    call-graph reachable functions (entries are unconditional, so every
-   reachable Update contributes — possibly with weight 0).  Hoisting
-   the sorted order here lets evaluation fill preallocated arrays
-   instead of rebuilding a Hashtbl.fold |> List.sort per eval. *)
+   reachable Update contributes — possibly with weight 0).  The walk
+   accumulates into arrays indexed by this order, and the compiled
+   programs emit their outputs in it. *)
 let mnemonic_order (model : Model_ir.t) ~fname ~inclusive : string array =
   let seen = Hashtbl.create 8 in
   let mns = Hashtbl.create 32 in
@@ -58,373 +58,120 @@ let mnemonic_order (model : Model_ir.t) ~fname ~inclusive : string array =
   |> List.sort compare |> Array.of_list
 
 (* ------------------------------------------------------------------ *)
-(* Plans: slot-resolved evaluation                                     *)
+(* The walk                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* A plan resolves, once per (model, fname, env shape), everything
-   [eval] used to redo per evaluation: parameter names become integer
-   slots into an env array, count expressions become closures over
-   that array (same operation order as [Expr.eval_float], so results
-   are bit-identical), call-site bindings become slot copies or exact
-   rational polynomial closures, and mnemonics become indices into a
-   canonical sorted output array. *)
+(* The one recursive walk behind every evaluator.  It folds [fname]'s
+   entries under [env] into a fresh [width]-float accumulator: an
+   Update entry's multiplicity goes to [update], and (when [inclusive])
+   a call site binds the callee's env, walks the callee and hands its
+   accumulator to [splice] with the call multiplicity.  Results are
+   memoized per walk on (function, env projected onto its parameters).
 
-type rterm =
-  | Tclosed of float * (int array -> float)  (* sign, compiled count *)
-  | Tdefer of float * Domain.t * (string * int) array
-      (* enumerate at eval time; (parameter, slot) in Domain.parameters
-         order *)
-
-type rmult = { rm_scale : float; rm_terms : rterm array }
-
-type rbind =
-  | Bslot of int  (* copy a caller env slot *)
-  | Bpoly of (int array -> int)  (* exact rational eval + floor *)
-
-type rentry =
-  | Ru of {
-      u_slots : int array;  (* mnemonic output slots, \ *)
-      u_counts : float array;  (* static counts,       / in lockstep *)
-      u_mult : rmult;
-      u_parallel : bool;
-    }
-  | Rc of {
-      c_fn : int;  (* callee plan-function index *)
-      c_binds : rbind array;  (* callee env, in mf_params order *)
-      c_mult : rmult;
-      c_parallel : bool;
-    }
-
-type rfun = { rf_entries : rentry array }
-
-type plan = {
-  pl_params : string array;  (* env slot i holds the value of name i *)
-  pl_mnemonics : string array;  (* canonical sorted output order *)
-  pl_funs : rfun array;
-  pl_entry : int;
-}
-
-let plan_params p = p.pl_params
-let plan_mnemonics p = p.pl_mnemonics
-
-(* First occurrence wins, like List.assoc on a duplicated env. *)
-let slot_table names =
-  let t = Hashtbl.create 16 in
-  List.iteri
-    (fun i n -> if not (Hashtbl.mem t n) then Hashtbl.add t n i)
-    names;
-  t
-
-let compile_closed resolve (e : Expr.t) : int array -> float =
-  let compile_poly p =
-    let terms =
-      Poly.fold_terms
-        (fun m c acc ->
-          ( Ratio.to_float c,
-            Array.of_list
-              (List.map (fun (x, e) -> (resolve x, float_of_int e)) m) )
-          :: acc)
-        p []
-      |> List.rev |> Array.of_list
+   Names are looked up as they are needed, in entry order, callee
+   bodies at their call sites: a missing one raises [Missing_parameter
+   (the function looking it up, name)]. *)
+let walk ~who ~inclusive ~width ~update ~splice (model : Model_ir.t) ~fname
+    ~env =
+  let fm =
+    match Model_ir.find model fname with
+    | Some fm -> fm
+    | None -> invalid_arg (who ^ ": no model for " ^ fname)
+  in
+  let memo = Hashtbl.create 16 in
+  let rec go fname (fm : Model_ir.fmodel) env =
+    let key =
+      (fname, List.map (fun p -> List.assoc_opt p env) fm.mf_params)
     in
-    fun env ->
-      Array.fold_left
-        (fun acc (cf, vs) ->
-          acc
-          +. Array.fold_left
-               (fun v (s, ef) -> v *. (float_of_int env.(s) ** ef))
-               cf vs)
-        0.0 terms
-  in
-  let rec go e =
-    match (e : Expr.t) with
-    | Expr.P p -> compile_poly p
-    | Expr.Add (a, b) ->
-        let fa = go a and fb = go b in
-        fun env -> fa env +. fb env
-    | Expr.Mul (a, b) ->
-        let fa = go a and fb = go b in
-        fun env -> fa env *. fb env
-    | Expr.Max (a, b) ->
-        let fa = go a and fb = go b in
-        fun env -> Float.max (fa env) (fb env)
-    | Expr.Min (a, b) ->
-        let fa = go a and fb = go b in
-        fun env -> Float.min (fa env) (fb env)
-    | Expr.Fdiv (a, n) ->
-        let fa = go a and nf = float_of_int n in
-        fun env -> Float.of_int (int_of_float (floor (fa env /. nf)))
-    | Expr.Cdiv (a, n) ->
-        let fa = go a and nf = float_of_int n in
-        fun env -> Float.of_int (int_of_float (ceil (fa env /. nf)))
-    | Expr.If (g, a, b) ->
-        let fg = compile_poly g and fa = go a and fb = go b in
-        fun env -> if fg env >= 0.0 then fa env else fb env
-  in
-  go e
-
-(* Exact twin of [Poly.eval (fun x -> Ratio.of_int (lookup ..)) |>
-   Ratio.floor]: rational arithmetic is exact, so term order does not
-   matter. *)
-let compile_bind_poly resolve (p : Poly.t) : int array -> int =
-  let terms =
-    Poly.fold_terms
-      (fun m c acc ->
-        (c, Array.of_list (List.map (fun (x, e) -> (resolve x, e)) m)) :: acc)
-      p []
-    |> Array.of_list
-  in
-  fun env ->
-    Ratio.floor
-      (Array.fold_left
-         (fun acc (c, vs) ->
-           Ratio.add acc
-             (Array.fold_left
-                (fun v (s, e) -> Ratio.mul v (Ratio.pow (Ratio.of_int env.(s)) e))
-                c vs))
-         Ratio.zero terms)
-
-let compile_mult resolve (m : Model_ir.mult) : rmult =
-  let term (sign, c) =
-    let signf = float_of_int sign in
-    match (c : Count.result) with
-    | Count.Closed e -> Tclosed (signf, compile_closed resolve e)
-    | Count.Deferred d ->
-        let ps =
-          Array.of_list
-            (List.map (fun p -> (p, resolve p)) (Domain.parameters d))
-        in
-        Tdefer (signf, d, ps)
-  in
-  { rm_scale = m.scale; rm_terms = Array.of_list (List.map term m.terms) }
-
-(* Build a plan.  Resolution errors surface now, with the same
-   attribution as lazy evaluation would give: [Missing_parameter
-   (fname-of-the-looking-function, name)], encountered in entry order
-   with callee bodies resolved at their first call site (mirroring the
-   evaluation order of the recursive interpreter). *)
-let plan ?(who = "Model_eval.eval") ?(inclusive = true) (model : Model_ir.t)
-    ~fname ~params : plan =
-  (match Model_ir.find model fname with
-  | Some _ -> ()
-  | None -> invalid_arg (who ^ ": no model for " ^ fname));
-  let mns = mnemonic_order model ~fname ~inclusive in
-  let mn_slot = slot_table (Array.to_list mns) in
-  let funs : (int, rfun) Hashtbl.t = Hashtbl.create 8 in
-  let fn_idx : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let next = ref 0 in
-  let reserve () =
-    let i = !next in
-    incr next;
-    i
-  in
-  let rec build fname (fm : Model_ir.fmodel) slots : rfun =
-    let resolve name =
-      match Hashtbl.find_opt slots name with
-      | Some i -> i
-      | None -> raise (Missing_parameter (fname, name))
-    in
-    let entries =
-      List.filter_map
-        (fun entry ->
-          match entry with
-          | Model_ir.Update { counts; mult; _ } ->
-              let u_slots =
-                Array.of_list
-                  (List.map (fun (m, _) -> Hashtbl.find mn_slot m) counts)
-              in
-              let u_counts =
-                Array.of_list (List.map (fun (_, c) -> float_of_int c) counts)
-              in
-              Some
-                (Ru
-                   {
-                     u_slots;
-                     u_counts;
-                     u_mult = compile_mult resolve mult;
-                     u_parallel = mult.parallel;
-                   })
-          | Model_ir.Call_site { callee; bindings; mult; _ } -> (
-              if not inclusive then None
-              else
+    match Hashtbl.find_opt memo key with
+    | Some acc -> acc
+    | None ->
+        let acc = Array.make width 0.0 in
+        List.iter
+          (fun entry ->
+            match entry with
+            | Model_ir.Update { line; counts; mult; _ } ->
+                update fname acc ~line ~parallel:mult.parallel
+                  (eval_mult fname env mult) counts
+            | Model_ir.Call_site { callee; bindings; mult; _ } -> (
                 match Model_ir.find model callee with
-                | None -> None  (* extern: call cost already counted *)
-                | Some cm ->
-                    let c_binds =
-                      Array.of_list
-                        (List.map
-                           (fun p ->
-                             match List.assoc_opt p bindings with
-                             | Some (Model_ir.Bound poly) ->
-                                 Bpoly (compile_bind_poly resolve poly)
-                             | Some (Model_ir.Unbound name) ->
-                                 Bslot (resolve name)
-                             | None -> Bslot (resolve p))
-                           cm.mf_params)
+                | Some cm when inclusive ->
+                    let callee_env =
+                      List.map
+                        (fun p ->
+                          match List.assoc_opt p bindings with
+                          | Some (Model_ir.Bound poly) ->
+                              ( p,
+                                Ratio.floor
+                                  (Poly.eval
+                                     (fun x ->
+                                       Ratio.of_int (lookup fname env x))
+                                     poly) )
+                          | Some (Model_ir.Unbound name) ->
+                              (p, lookup fname env name)
+                          | None -> (p, lookup fname env p))
+                        cm.mf_params
                     in
-                    let c_fn = fn_of callee cm in
-                    Some
-                      (Rc
-                         {
-                           c_fn;
-                           c_binds;
-                           c_mult = compile_mult resolve mult;
-                           c_parallel = mult.parallel;
-                         })))
-        fm.mf_entries
-    in
-    { rf_entries = Array.of_list entries }
-  and fn_of callee cm =
-    match Hashtbl.find_opt fn_idx callee with
-    | Some i -> i
-    | None ->
-        let i = reserve () in
-        Hashtbl.add fn_idx callee i;  (* before recursing: cycles *)
-        let rf = build callee cm (slot_table cm.mf_params) in
-        Hashtbl.replace funs i rf;
-        i
-  in
-  let entry_i = reserve () in
-  let fm = Model_ir.find_exn model fname in
-  let entry_rf = build fname fm (slot_table params) in
-  Hashtbl.replace funs entry_i entry_rf;
-  {
-    pl_params = Array.of_list params;
-    pl_mnemonics = mns;
-    pl_funs = Array.init !next (fun i -> Hashtbl.find funs i);
-    pl_entry = entry_i;
-  }
-
-let eval_rmult (m : rmult) env =
-  m.rm_scale
-  *. Array.fold_left
-       (fun acc t ->
-         acc
-         +.
-         match t with
-         | Tclosed (sign, f) -> sign *. f env
-         | Tdefer (sign, d, ps) ->
-             let params =
-               Array.to_list (Array.map (fun (n, s) -> (n, env.(s))) ps)
-             in
-             sign *. float_of_int (Enumerate.count ~params d))
-       0.0 m.rm_terms
-
-(* Per-run memo on (plan function, env values) — same sharing as the
-   old interpreter's (fname, projected env) key. *)
-let run_plan_into (p : plan) (env : int array) (out : float array) =
-  let nm = Array.length p.pl_mnemonics in
-  let memo : (int * int array, float array) Hashtbl.t = Hashtbl.create 16 in
-  let rec go fi fenv =
-    match Hashtbl.find_opt memo (fi, fenv) with
-    | Some r -> r
-    | None ->
-        let acc = Array.make nm 0.0 in
-        Array.iter
-          (fun entry ->
-            match entry with
-            | Ru u ->
-                let m = eval_rmult u.u_mult fenv in
-                Array.iteri
-                  (fun i s -> acc.(s) <- acc.(s) +. (m *. u.u_counts.(i)))
-                  u.u_slots
-            | Rc c ->
-                let cenv =
-                  Array.map
-                    (function Bslot s -> fenv.(s) | Bpoly f -> f fenv)
-                    c.c_binds
-                in
-                let sub = go c.c_fn cenv in
-                let m = eval_rmult c.c_mult fenv in
-                for i = 0 to nm - 1 do
-                  acc.(i) <- acc.(i) +. (m *. sub.(i))
-                done)
-          p.pl_funs.(fi).rf_entries;
-        Hashtbl.replace memo (fi, fenv) acc;
+                    let sub = go callee cm callee_env in
+                    splice acc ~parallel:mult.parallel
+                      (eval_mult fname env mult) sub
+                | _ -> ()  (* extern: call cost already counted *)))
+          fm.mf_entries;
+        Hashtbl.replace memo key acc;
         acc
   in
-  Array.blit (go p.pl_entry env) 0 out 0 nm
+  go fname fm env
 
-let run_plan p env =
-  let out = Array.make (Array.length p.pl_mnemonics) 0.0 in
-  run_plan_into p env out;
-  out
-
-(* Split accumulation over the same plan: serial at 2i, parallel at
-   2i+1.  A parallel call site promotes the whole callee to parallel,
-   as before. *)
-let run_plan_split (p : plan) (env : int array) : float array =
-  let nm = Array.length p.pl_mnemonics in
-  let memo : (int * int array, float array) Hashtbl.t = Hashtbl.create 16 in
-  let rec go fi fenv =
-    match Hashtbl.find_opt memo (fi, fenv) with
-    | Some r -> r
-    | None ->
-        let acc = Array.make (2 * nm) 0.0 in
-        Array.iter
-          (fun entry ->
-            match entry with
-            | Ru u ->
-                let m = eval_rmult u.u_mult fenv in
-                Array.iteri
-                  (fun i s ->
-                    let v = m *. u.u_counts.(i) in
-                    let j = (2 * s) + if u.u_parallel then 1 else 0 in
-                    acc.(j) <- acc.(j) +. v)
-                  u.u_slots
-            | Rc c ->
-                let cenv =
-                  Array.map
-                    (function Bslot s -> fenv.(s) | Bpoly f -> f fenv)
-                    c.c_binds
-                in
-                let sub = go c.c_fn cenv in
-                let m = eval_rmult c.c_mult fenv in
-                for i = 0 to nm - 1 do
-                  let cs = sub.(2 * i) and cp = sub.((2 * i) + 1) in
-                  if c.c_parallel then
-                    acc.((2 * i) + 1) <-
-                      acc.((2 * i) + 1) +. (m *. (cs +. cp))
-                  else begin
-                    acc.(2 * i) <- acc.(2 * i) +. (m *. cs);
-                    acc.((2 * i) + 1) <- acc.((2 * i) + 1) +. (m *. cp)
-                  end
-                done)
-          p.pl_funs.(fi).rf_entries;
-        Hashtbl.replace memo (fi, fenv) acc;
-        acc
+(* Per-mnemonic counts: mnemonic i of [mnemonic_order] accumulates at
+   slot i or, when [split], its serial count at 2i and its parallel
+   count at 2i+1 (a parallel call site makes the whole callee
+   parallel). *)
+let per_mnemonic ~who ~inclusive ~split model ~fname ~env =
+  let mns = mnemonic_order model ~fname ~inclusive in
+  let slot = Hashtbl.create 32 in
+  Array.iteri (fun i m -> Hashtbl.replace slot m i) mns;
+  let lanes = if split then 2 else 1 in
+  let update _ acc ~line:_ ~parallel m counts =
+    let off = if split && parallel then 1 else 0 in
+    List.iter
+      (fun (mn, c) ->
+        let j = (lanes * Hashtbl.find slot mn) + off in
+        acc.(j) <- acc.(j) +. (m *. float_of_int c))
+      counts
   in
-  go p.pl_entry env
-
-(* ------------------------------------------------------------------ *)
-(* Public API on top of plans                                          *)
-(* ------------------------------------------------------------------ *)
-
-let assoc_of p out =
-  Array.to_list (Array.mapi (fun i m -> (m, out.(i))) p.pl_mnemonics)
-
-let eval (model : Model_ir.t) ~fname ~env =
-  let p =
-    plan ~who:"Model_eval.eval" model ~fname ~params:(List.map fst env)
+  let splice acc ~parallel m sub =
+    if split && parallel then
+      for i = 0 to Array.length mns - 1 do
+        let j = (2 * i) + 1 in
+        acc.(j) <- acc.(j) +. (m *. (sub.(2 * i) +. sub.(j)))
+      done
+    else Array.iteri (fun k v -> acc.(k) <- acc.(k) +. (m *. v)) sub
   in
-  assoc_of p (run_plan p (Array.of_list (List.map snd env)))
+  ( mns,
+    walk ~who ~inclusive ~width:(lanes * Array.length mns) ~update ~splice
+      model ~fname ~env )
 
-let eval_exclusive (model : Model_ir.t) ~fname ~env =
-  let p =
-    plan ~who:"Model_eval.eval_exclusive" ~inclusive:false model ~fname
-      ~params:(List.map fst env)
+let eval model ~fname ~env =
+  let mns, out =
+    per_mnemonic ~who:"Model_eval.eval" ~inclusive:true ~split:false model
+      ~fname ~env
   in
-  assoc_of p (run_plan p (Array.of_list (List.map snd env)))
+  Array.to_list (Array.mapi (fun i m -> (m, out.(i))) mns)
 
-let eval_split (model : Model_ir.t) ~fname ~env =
-  let p =
-    plan ~who:"Model_eval.eval_split" model ~fname ~params:(List.map fst env)
+let eval_exclusive model ~fname ~env =
+  let mns, out =
+    per_mnemonic ~who:"Model_eval.eval_exclusive" ~inclusive:false
+      ~split:false model ~fname ~env
   in
-  let out = run_plan_split p (Array.of_list (List.map snd env)) in
+  Array.to_list (Array.mapi (fun i m -> (m, out.(i))) mns)
+
+let eval_split model ~fname ~env =
+  let mns, out =
+    per_mnemonic ~who:"Model_eval.eval_split" ~inclusive:true ~split:true
+      model ~fname ~env
+  in
   Array.to_list
-    (Array.mapi
-       (fun i m -> (m, (out.(2 * i), out.((2 * i) + 1))))
-       p.pl_mnemonics)
+    (Array.mapi (fun i m -> (m, (out.(2 * i), out.((2 * i) + 1)))) mns)
 
 let total counts = List.fold_left (fun acc (_, c) -> acc +. c) 0.0 counts
 
@@ -448,46 +195,21 @@ let fpi_vectorization_aware (model : Model_ir.t) ~lanes ~vectorized ~fname
     ~env =
   let lanes_f = float_of_int lanes in
   let is_packed = Mira_visa.Isa.is_packed_mnemonic in
-  let rec go fname env =
-    let fm = Model_ir.find_exn model fname in
-    let vec_lines =
-      Option.value ~default:[] (List.assoc_opt fname vectorized)
+  let update fname acc ~line ~parallel:_ m counts =
+    let vectorized_line =
+      List.mem line (Option.value ~default:[] (List.assoc_opt fname vectorized))
     in
-    List.fold_left
-      (fun acc entry ->
-        match entry with
-        | Model_ir.Update { line; counts; mult; _ } ->
-            let m = eval_mult fname env mult in
-            let vectorized_line = List.mem line vec_lines in
-            acc
-            +. List.fold_left
-                 (fun a (mn, c) ->
-                   if not (List.mem mn fp_mnemonics) then a
-                   else if vectorized_line then
-                     if is_packed mn then a +. (m *. float_of_int c /. lanes_f)
-                     else a  (* epilogue copy: at most lanes-1 runs *)
-                   else a +. (m *. float_of_int c))
-                 0.0 counts
-        | Model_ir.Call_site { callee; bindings; mult; _ } -> (
-            match Model_ir.find model callee with
-            | None -> acc
-            | Some cm ->
-                let callee_env =
-                  List.map
-                    (fun p ->
-                      match List.assoc_opt p bindings with
-                      | Some (Model_ir.Bound poly) ->
-                          ( p,
-                            Ratio.floor
-                              (Poly.eval
-                                 (fun x -> Ratio.of_int (lookup fname env x))
-                                 poly) )
-                      | Some (Model_ir.Unbound name) ->
-                          (p, lookup fname env name)
-                      | None -> (p, lookup fname env p))
-                    cm.mf_params
-                in
-                acc +. (eval_mult fname env mult *. go callee callee_env)))
-      0.0 fm.mf_entries
+    acc.(0) <-
+      acc.(0)
+      +. List.fold_left
+           (fun a (mn, c) ->
+             if not (List.mem mn fp_mnemonics) then a
+             else if vectorized_line then
+               if is_packed mn then a +. (m *. float_of_int c /. lanes_f)
+               else a  (* epilogue copy: at most lanes-1 runs *)
+             else a +. (m *. float_of_int c))
+           0.0 counts
   in
-  go fname env
+  let splice acc ~parallel:_ m sub = acc.(0) <- acc.(0) +. (m *. sub.(0)) in
+  (walk ~who:"Model_eval.fpi_vectorization_aware" ~inclusive:true ~width:1
+     ~update ~splice model ~fname ~env).(0)

@@ -1,5 +1,5 @@
 (** Evaluation of generated models (the OCaml twin of running the
-    emitted Python).
+    emitted Python), by a tree walk over the model.
 
     Given integer values for a function's model parameters, produces
     the predicted per-mnemonic instruction counts, inclusive of
@@ -7,16 +7,14 @@
     multiplicity, like the Python [handle_function_call]).  Counts are
     floats because [fraction] annotations scale contributions.
 
-    Evaluation is two-phase: {!plan} resolves names to integer slots,
-    compiles count expressions to closures, and hoists the canonical
-    mnemonic order once per (model, function, env shape);
-    {!run_plan_into} then evaluates one binding into a preallocated
-    array with no per-eval allocation beyond the memo table.  The
-    one-shot {!eval}/{!eval_exclusive}/{!eval_split} wrappers plan and
-    run in one call and return the classic sorted assoc lists.  For
-    arithmetic-speed bulk evaluation, see {!Model_compile}, which
-    partially evaluates a plan's symbolic content into a register
-    program; this module is its differential oracle. *)
+    Every entry point runs the same recursive walk: it folds a
+    function's entries, evaluating each multiplicity under the
+    caller's environment, binds each callee's parameters from the call
+    site, and memoizes, within one evaluation, each function's result
+    on its argument values.  Results are sorted assoc lists over
+    {!mnemonic_order}, zero-weight mnemonics included.
+    {!Model_compile} is the fast path for bulk evaluation; this module
+    is its reference oracle. *)
 
 exception Missing_parameter of string * string
 (** function, parameter *)
@@ -41,42 +39,6 @@ val eval_split :
 (** Like {!eval}, but splits each mnemonic's count into
     (serial, parallel) portions according to [{parallel:yes}] loop
     annotations — the input to shared-memory predictions. *)
-
-(** {1 Plans: reusable slot-resolved evaluators} *)
-
-type plan
-(** Everything per-eval work used to redo, resolved once: parameter
-    names to env-array slots, count expressions to closures (same
-    operation order as the tree walk, so results are bit-identical),
-    mnemonics to indices of a canonical sorted output array. *)
-
-val plan :
-  ?who:string ->
-  ?inclusive:bool ->
-  Model_ir.t ->
-  fname:string ->
-  params:string list ->
-  plan
-(** Build a plan for evaluating [fname] against envs whose names (and
-    order) are [params].  [inclusive] (default true) splices callees
-    in; [false] gives the {!eval_exclusive} shape.  [who] labels the
-    [Invalid_argument] raised for unknown function names.
-    @raise Missing_parameter when the model needs a name not in
-    [params] — the same error one-shot evaluation raises lazily. *)
-
-val plan_params : plan -> string array
-(** Env slot order: slot [i] holds the value of name [i]. *)
-
-val plan_mnemonics : plan -> string array
-(** Canonical sorted output order; the run functions fill values in
-    lockstep with it. *)
-
-val run_plan_into : plan -> int array -> float array -> unit
-(** [run_plan_into p env out] evaluates one binding ([env] in
-    {!plan_params} order) into [out] (length [plan_mnemonics]). *)
-
-val run_plan : plan -> int array -> float array
-(** Allocating variant of {!run_plan_into}. *)
 
 val mnemonic_order : Model_ir.t -> fname:string -> inclusive:bool -> string array
 (** The static sorted mnemonic universe evaluation of [fname] can

@@ -101,17 +101,22 @@ let install b f =
   set_slot id (Some b);
   Fun.protect ~finally:(fun () -> set_slot id prev) f
 
+let count_down b =
+  b.clock_in <- b.clock_in - 1;
+  if b.clock_in <= 0 then begin
+    b.clock_in <- clock_period;
+    check_deadline b
+  end
+
 let tick () =
   let b = current () in
   if b.fuel <> max_int then begin
     if b.fuel <= 0 then raise (Exhausted Fuel);
     b.fuel <- b.fuel - 1
   end;
-  b.clock_in <- b.clock_in - 1;
-  if b.clock_in <= 0 then begin
-    b.clock_in <- clock_period;
-    check_deadline b
-  end
+  count_down b
+
+let poll () = count_down (current ())
 
 let with_depth f =
   let b = current () in

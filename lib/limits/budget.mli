@@ -48,6 +48,12 @@ val tick : unit -> unit
 (** Burn one unit of fuel on the current budget; every 64 ticks the
     wall-clock deadline is also checked.  Raises {!Exhausted}. *)
 
+val poll : unit -> unit
+(** Like {!tick} but burns no fuel: only the wall-clock deadline is
+    checked, every 64 polls.  For loops whose length is set by an
+    evaluation's inputs rather than by the analyzed source, so fuel
+    keeps measuring analysis work.  Raises [Exhausted Deadline]. *)
+
 val with_depth : (unit -> 'a) -> 'a
 (** Run one recursion level deeper; raises [Exhausted Depth] when the
     current budget's cap is exceeded. *)

@@ -54,6 +54,9 @@ let iter ~params (t : Domain.t) f =
         let hi = Ratio.floor (eval_poly env l.hi) in
         let v = ref lo in
         while !v <= hi do
+          (* a deferred count over a huge parameter must end at the
+             caller's deadline, not run on; points burn no fuel *)
+          Mira_limits.Budget.poll ();
           point.(i) <- !v;
           go (i + 1) ((l.var, !v) :: env);
           v := !v + l.step

@@ -13,6 +13,8 @@
      eval / eval_exclusive / eval_split;
    - randomized differential over test/kernelgen.ml programs (seeded
      by MIRA_FUZZ_SEED like the fuzz oracle);
+   - the interpreter itself, pinned bit-exactly by a digest of its
+     output over the corpus;
    - Missing_parameter raised identically (same function, parameter)
      by the compiled and interpreted paths;
    - graceful Not_compilable fallback (recursive model) instead of
@@ -145,6 +147,80 @@ let test_corpus_differential () =
        !compiled !fallback)
     true
     (!compiled > 10 * max 1 !fallback)
+
+(* ---------- the interpreter, pinned bit-exactly ---------- *)
+
+(* Every function of every corpus program at two sizes, through all
+   three interpreter entry points, rendered with %h (exact hex floats)
+   and hashed, plus the packed-aware FPI of the O2 triad.  The
+   expected digest predates the interpreter's current implementation:
+   any drift in values, mnemonic sets, order or Missing_parameter
+   attribution fails here, where the tolerant differential above would
+   not notice. *)
+let oracle_digest = "8587f6cb0c750eafea72c3f4a7dc2a5e"
+
+let triad_src =
+  {|void triad(double *a, double *b, double *c, double s, int n) {
+        for (int i = 0; i < n; i++) {
+          a[i] = b[i] + s * c[i];
+        }
+      }|}
+
+let render_oracle () =
+  let b = Buffer.create (1 lsl 16) in
+  let line tag render =
+    Printf.bprintf b "  %s:" tag;
+    (match render () with
+    | () -> ()
+    | exception Model_eval.Missing_parameter (fn, p) ->
+        Printf.bprintf b " missing(%s,%s)" fn p);
+    Buffer.add_char b '\n'
+  in
+  let counts eval () =
+    List.iter (fun (mn, v) -> Printf.bprintf b " %s=%h" mn v) (eval ())
+  in
+  List.iter
+    (fun (name, src) ->
+      let model = (Mira.analyze ~source_name:name src).model in
+      List.iter
+        (fun (fm : Model_ir.fmodel) ->
+          let fname = fm.mf_name in
+          List.iter
+            (fun base ->
+              let env = List.mapi (fun j p -> (p, base + j)) fm.mf_params in
+              Printf.bprintf b "%s/%s@%d\n" name fname base;
+              line "eval"
+                (counts (fun () -> Model_eval.eval model ~fname ~env));
+              line "excl"
+                (counts (fun () ->
+                     Model_eval.eval_exclusive model ~fname ~env));
+              line "split" (fun () ->
+                  List.iter
+                    (fun (mn, (s, p)) -> Printf.bprintf b " %s=%h/%h" mn s p)
+                    (Model_eval.eval_split model ~fname ~env)))
+            [ 2; 5 ])
+        model.functions)
+    Corpus.all;
+  let m =
+    Mira.analyze ~level:Mira_codegen.Codegen.O2 ~source_name:"t.mc" triad_src
+  in
+  let vectorized =
+    Mira_codegen.Vectorize.vectorized_lines
+      (Mira_visa.Objfile.decode m.input.object_bytes)
+  in
+  List.iter
+    (fun n ->
+      Printf.bprintf b "triad-o2@%d: %h\n" n
+        (Model_eval.fpi_vectorization_aware m.model ~lanes:2 ~vectorized
+           ~fname:"triad" ~env:[ ("n", n) ]))
+    [ 7; 2048 ];
+  Buffer.contents b
+
+let test_oracle_digest () =
+  let rendered = render_oracle () in
+  Alcotest.(check string)
+    "interpreter output digest" oracle_digest
+    (Digest.to_hex (Digest.string rendered))
 
 (* ---------- randomized kernels ---------- *)
 
@@ -460,6 +536,8 @@ let () =
             test_corpus_differential;
           Alcotest.test_case "random kernels: compiled = interpreted" `Quick
             test_random_kernels;
+          Alcotest.test_case "interpreter output pinned bit-exactly" `Quick
+            test_oracle_digest;
           Alcotest.test_case "Missing_parameter parity" `Quick
             test_missing_parameter_parity;
           Alcotest.test_case "uncompilable models fall back" `Quick

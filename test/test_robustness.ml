@@ -5,7 +5,9 @@
    - 20k-deep nesting hits the recursion-depth budget, not the native
      stack;
    - the failure set and report are byte-identical at jobs=1 and
-     jobs=4. *)
+     jobs=4;
+   - lattice-point enumeration of a deferred count stops at the
+     caller's deadline, in the interpreter and in the compiler. *)
 
 open Mira_core
 
@@ -115,4 +117,68 @@ let robustness_tests =
         check int "st_budget" 2 stats.st_budget);
   ]
 
-let () = Alcotest.run "robustness" [ ("bad-corpus", robustness_tests) ]
+(* The guard j > 2i leaves the inner domain without a closed form, so
+   the count is deferred to enumeration: about n^2 points.  At n = 3e9
+   only the budget can end it. *)
+let deferred_src =
+  {|double f(double *a, int n) {
+  double s = 0.0;
+  for (int i = 0; i < n; i++) {
+    for (int j = 0; j < n; j++) {
+      if (j > 2 * i) {
+        s = s + a[j];
+      }
+    }
+  }
+  return s;
+}|}
+
+let deadline_tests =
+  let open Alcotest in
+  [
+    test_case "deferred enumeration honours the deadline" `Quick (fun () ->
+        let model = (Mira.analyze ~source_name:"tri.mc" deferred_src).model in
+        let env = [ ("n", 3_000_000_000) ] in
+        let bounded what f =
+          let t0 = Unix.gettimeofday () in
+          (match
+             Mira_limits.Budget.install
+               (Mira_limits.Budget.make ~timeout_ms:200 ())
+               f
+           with
+          | () -> failf "%s returned instead of exhausting its budget" what
+          | exception
+              Mira_limits.Budget.Exhausted Mira_limits.Budget.Deadline ->
+              ());
+          let dt = Unix.gettimeofday () -. t0 in
+          if dt > 5.0 then failf "%s noticed the deadline after %.1fs" what dt
+        in
+        bounded "Model_eval.eval" (fun () ->
+            ignore (Model_eval.eval model ~fname:"f" ~env));
+        bounded "Model_compile.compile" (fun () ->
+            ignore
+              (Model_compile.compile model ~fname:"f" ~sweep:[] ~fixed:env)));
+    test_case "enumerated points burn no fuel" `Quick (fun () ->
+        (* ~40k points against 1000 units of fuel: fuel bounds analysis
+           work, so a fuel= request that succeeded before enumeration
+           was budgeted still succeeds *)
+        let model = (Mira.analyze ~source_name:"tri.mc" deferred_src).model in
+        let env = [ ("n", 400) ] in
+        let fuelled f =
+          Mira_limits.Budget.install (Mira_limits.Budget.make ~fuel:1000 ()) f
+        in
+        let expected = Model_eval.eval model ~fname:"f" ~env in
+        check bool "eval" true
+          (fuelled (fun () -> Model_eval.eval model ~fname:"f" ~env)
+          = expected);
+        let compile () =
+          Model_compile.compile model ~fname:"f" ~sweep:[] ~fixed:env
+        in
+        check bool "compile" true
+          (Model_compile.eval (fuelled compile) ~env:[]
+          = Model_compile.eval (compile ()) ~env:[]));
+  ]
+
+let () =
+  Alcotest.run "robustness"
+    [ ("bad-corpus", robustness_tests); ("deadline", deadline_tests) ]
