@@ -237,6 +237,15 @@ let eval_cmd =
           if via_python then begin
             (* evaluate the emitted Python artifact itself, through the
                bundled mini-Python interpreter *)
+            (match Mira_core.Model_ir.first_deferred m.model fname with
+            | Some (fn, line) ->
+                Printf.eprintf
+                  "error: %s line %d: count has no closed form and the \
+                   emitted Python renders it as 0; evaluate %s without \
+                   --via-python\n"
+                  fn line fname;
+                exit exit_analysis
+            | None -> ());
             let call = Mira_minipy.Minipy.run (Mira_core.Mira.python_model m) in
             let fm = Mira_core.Model_ir.find_exn m.model fname in
             let args =

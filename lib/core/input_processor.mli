@@ -47,7 +47,9 @@ val prepare :
     raises for source-side errors. *)
 
 val process_prepared : prepared -> t
-(** Compile-side half: [process = process_prepared ∘ prepare]. *)
+(** Compile-side half: [process = process_prepared ∘ prepare].  It
+    compiles [pr_ast] rather than parsing the text again; the object
+    bytes are the same either way. *)
 
 val function_digest : prepared -> salt:string -> Mira_srclang.Ast.func -> string
 (** Content digest of one function of [pr_ast] under its closure; see

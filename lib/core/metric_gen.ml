@@ -7,6 +7,7 @@ exception Unsupported of string * Loc.pos
 exception Non_affine of string
 
 module S = Set.Make (String)
+module Domain_tbl = Hashtbl.Make (Domain)
 
 let mangle_func (f : func) =
   match f.fclass with None -> f.fname | Some c -> c ^ "::" ^ f.fname
@@ -22,6 +23,13 @@ type tctx = {
   (* source loop-variable name -> domain variable name (uniquified) *)
   mutable lvmap : (string * string) list;
   mutable used_domain_vars : string list;
+  counts : Count.result Domain_tbl.t;
+      (* one count per distinct domain: the statements, loop heads and
+         branch pieces of one nest share their domains, and a deep
+         guarded nest asks for the same few many times over.  Entries
+         over equal domains then hold the same physical result, which
+         the free-variable walk and the Python rendering of the part
+         exploit. *)
 }
 
 (* warnings accumulate in reverse (prepend is O(1); appending made a
@@ -135,15 +143,24 @@ let apply_cond (sd : sdoms) (terms : (int * Domain.guard list) list) : sdoms =
 
 let negate (sd : sdoms) : sdoms = List.map (fun (s, d) -> (-s, d)) sd
 
-let mult_of ?(parallel = false) (sd : sdoms) (scale : float) : Model_ir.mult =
+let count ctx d =
+  match Domain_tbl.find_opt ctx.counts d with
+  | Some c -> c
+  | None ->
+      let c = Count.count d in
+      Domain_tbl.add ctx.counts d c;
+      c
+
+let mult_of ctx ?(parallel = false) (sd : sdoms) (scale : float) :
+    Model_ir.mult =
   (* signed-domain lists grow multiplicatively under nested &&/|| and
-     each piece pays a symbolic count: tick per piece so pathological
-     conditions burn fuel instead of time *)
+     each piece may pay a symbolic count: tick per piece, counted or
+     not, so pathological conditions burn fuel instead of time *)
   { terms =
       List.map
         (fun (s, d) ->
           Mira_limits.Budget.tick ();
-          (s, Count.count d))
+          (s, count ctx d))
         sd;
     scale;
     parallel;
@@ -413,7 +430,7 @@ and claim_cond ctx ~par (sd : sdoms) (scale : float) ~line (c : expr) =
   | _ ->
       let counts = Bridge.claim_span ctx.fb c.espan in
       add_update ctx ~line ~label:"if-cond" ~counts
-        ~mult:(mult_of ~parallel:par sd scale)
+        ~mult:(mult_of ctx ~parallel:par sd scale)
 
 and walk_stmt ctx ~par (sd : sdoms) (scale : float) (st : stmt) =
   Mira_limits.Budget.tick ();
@@ -424,14 +441,14 @@ and walk_stmt ctx ~par (sd : sdoms) (scale : float) (st : stmt) =
   else
     match st.s with
     | Decl _ | Arr_decl _ | Assign _ | Op_assign _ | Expr_stmt _ | Return _ ->
-        let mult = mult_of ~parallel:par sd scale in
+        let mult = mult_of ctx ~parallel:par sd scale in
         let counts = Bridge.claim_span ctx.fb st.sspan in
         add_update ctx ~line ~label:"stmt" ~counts ~mult;
         collect_calls ctx st mult;
         update_subst ctx st
     | Block body -> walk ctx ~par sd scale body
     | If { cond; then_; else_ } -> (
-        let visit_mult = mult_of ~parallel:par sd scale in
+        let visit_mult = mult_of ctx ~parallel:par sd scale in
         claim_cond ctx ~par sd scale ~line cond;
         collect_calls ctx st visit_mult;
         match fraction_of st with
@@ -456,7 +473,7 @@ and walk_stmt ctx ~par (sd : sdoms) (scale : float) (st : stmt) =
         (* a {parallel:yes} loop distributes everything from its
            condition inward; the init remains serial *)
         let par_here = par || has_parallel st in
-        let outer_mult = mult_of ~parallel:par sd scale in
+        let outer_mult = mult_of ctx ~parallel:par sd scale in
         let init_counts = Bridge.claim_span ctx.fb init.ispan in
         add_update ctx ~line ~label:"loop-init" ~counts:init_counts
           ~mult:outer_mult;
@@ -475,10 +492,10 @@ and walk_stmt ctx ~par (sd : sdoms) (scale : float) (st : stmt) =
         (* condition: once per iteration plus the final failing test *)
         let cond_counts = Bridge.claim_span ctx.fb cond.espan in
         add_update ctx ~line ~label:"loop-cond" ~counts:cond_counts
-          ~mult:(mult_of ~parallel:par_here (inner_sd @ sd) scale);
+          ~mult:(mult_of ctx ~parallel:par_here (inner_sd @ sd) scale);
         let step_counts = Bridge.claim_span ctx.fb step.stspan in
         add_update ctx ~line ~label:"loop-step" ~counts:step_counts
-          ~mult:(mult_of ~parallel:par_here inner_sd scale);
+          ~mult:(mult_of ctx ~parallel:par_here inner_sd scale);
         walk ctx ~par:par_here inner_sd scale body;
         ctx.lvmap <- saved_lvmap;
         (* drop propagation facts established inside the loop: they do
@@ -509,7 +526,7 @@ and walk_stmt ctx ~par (sd : sdoms) (scale : float) (st : stmt) =
         let par_here = par || has_parallel st in
         let cond_counts = Bridge.claim_span ctx.fb cond.espan in
         add_update ctx ~line ~label:"loop-cond" ~counts:cond_counts
-          ~mult:(mult_of ~parallel:par_here (inner_sd @ sd) scale);
+          ~mult:(mult_of ctx ~parallel:par_here (inner_sd @ sd) scale);
         let saved_subst = ctx.subst in
         walk ctx ~par:par_here inner_sd scale body;
         ctx.subst <- saved_subst
@@ -517,28 +534,31 @@ and walk_stmt ctx ~par (sd : sdoms) (scale : float) (st : stmt) =
 (* ---------- model parameters ---------- *)
 
 let local_free_vars (entries : Model_ir.entry list) =
-  let s =
+  (* entries over equal domains share one count: walk each once *)
+  let walked = Model_ir.Count_tbl.create 16 in
+  let add_mult s (m : Model_ir.mult) =
     List.fold_left
-      (fun s e ->
-        match e with
-        | Model_ir.Update { mult; _ } ->
-            List.fold_left (fun s v -> S.add v s) s
-              (Model_ir.free_vars_of_mult mult)
-        | Model_ir.Call_site { mult; bindings; _ } ->
-            let s =
-              List.fold_left (fun s v -> S.add v s) s
-                (Model_ir.free_vars_of_mult mult)
-            in
-            List.fold_left
-              (fun s (_, b) ->
-                match b with
-                | Model_ir.Bound p ->
-                    List.fold_left (fun s v -> S.add v s) s (Poly.vars p)
-                | Model_ir.Unbound name -> S.add name s)
-              s bindings)
-      S.empty entries
+      (fun s (_, c) ->
+        if Model_ir.Count_tbl.mem walked c then s
+        else begin
+          Model_ir.Count_tbl.add walked c ();
+          List.fold_left (fun s v -> S.add v s) s (Model_ir.count_vars c)
+        end)
+      s m.terms
   in
-  s
+  List.fold_left
+    (fun s e ->
+      match e with
+      | Model_ir.Update { mult; _ } -> add_mult s mult
+      | Model_ir.Call_site { mult; bindings; _ } ->
+          List.fold_left
+            (fun s (_, b) ->
+              match b with
+              | Model_ir.Bound p ->
+                  List.fold_left (fun s v -> S.add v s) s (Poly.vars p)
+              | Model_ir.Unbound name -> S.add name s)
+            (add_mult s mult) bindings)
+    S.empty entries
 
 (* What one function contributes to the model, before the
    whole-program parameter fixpoint: everything here is computable
@@ -626,6 +646,7 @@ let build_function prog bridge (f : func) : Model_ir.entry list * string list =
       subst = [];
       lvmap = [];
       used_domain_vars = [];
+      counts = Domain_tbl.create 16;
     }
   in
   let sd0 = [ (1, Domain.empty) ] in
@@ -646,7 +667,9 @@ let build_part (prog : program) (bridge : Bridge.t) (f : func) : part =
     fp_entries = entries;
     fp_warnings = warnings;
     fp_free = S.elements (local_free_vars entries);
-    fp_update_py = List.map Python_emit.update_chunk entries;
+    fp_update_py =
+      (let r = Python_emit.renderings () in
+       List.map (Python_emit.update_chunk r) entries);
   }
 
 (* The parameter fixpoint runs at assembly time over the parts —

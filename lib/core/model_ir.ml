@@ -85,13 +85,61 @@ let python_name (f : fmodel) =
   let prefix = match f.mf_class with Some c -> c ^ "_" | None -> "" in
   Printf.sprintf "%s%s_%d" prefix short f.mf_arity
 
-let free_vars_of_mult m =
-  List.concat_map
-    (fun (_, c) ->
-      match c with
-      | Count.Closed e -> Expr.vars e
-      | Count.Deferred d -> Domain.parameters d)
-    m.terms
+let count_vars = function
+  | Count.Closed e -> Expr.vars e
+  | Count.Deferred d -> Domain.parameters d
+
+(* Counts keyed by physical identity.  Metric generation hands every
+   entry over one domain the same [Count.result], so a walk or a
+   rendering of a count can be done once per distinct value and
+   reused.  Equality is [==]; the hash is structural but bounded
+   ([Hashtbl.hash] looks at a fixed number of nodes), so it stays
+   cheap on the largest expressions. *)
+module Count_tbl = Hashtbl.Make (struct
+  type t = Count.result
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+(* The first entry of [fname], or of a function it reaches through its
+   call sites, whose multiplicity holds a count with no closed form, as
+   (function, source line).  Such counts render as 0 in the emitted
+   Python, so that text cannot stand in for the evaluator there. *)
+let first_deferred t fname =
+  let rec visit seen = function
+    | [] -> None
+    | name :: rest when List.mem name seen -> visit seen rest
+    | name :: rest -> (
+        let entries =
+          match find t name with Some f -> f.mf_entries | None -> []
+        in
+        let hit =
+          List.find_map
+            (function
+              | Update { line; mult; _ } | Call_site { line; mult; _ } ->
+                  if
+                    List.exists
+                      (function
+                        | _, Count.Deferred _ -> true
+                        | _, Count.Closed _ -> false)
+                      mult.terms
+                  then Some (name, line)
+                  else None)
+            entries
+        in
+        match hit with
+        | Some _ -> hit
+        | None ->
+            let callees =
+              List.filter_map
+                (function
+                  | Call_site { callee; _ } -> Some callee | Update _ -> None)
+                entries
+            in
+            visit (name :: seen) (callees @ rest))
+  in
+  visit [] [ fname ]
 
 let mult_is_static m =
   List.for_all

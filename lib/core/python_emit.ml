@@ -4,19 +4,32 @@ open Mira_poly
 let python_name_of (model : Model_ir.t) name =
   Model_ir.python_name (Model_ir.find_exn model name)
 
-let mult_py (m : Model_ir.mult) : string =
+type renderings = string Model_ir.Count_tbl.t
+
+let renderings () = Model_ir.Count_tbl.create 16
+
+let count_py r (c : Count.result) =
+  match Model_ir.Count_tbl.find_opt r c with
+  | Some s -> s
+  | None ->
+      let s =
+        match c with
+        | Count.Closed e -> Printf.sprintf "(%s)" (Expr.to_python e)
+        | Count.Deferred _ ->
+            (* Closed form unavailable (e.g. parametric lattice
+               constraints): the OCaml evaluator enumerates, but the
+               Python rendering contributes 0, so the emitted model
+               undercounts such entries.  `mira eval --via-python`
+               refuses functions that reach one
+               ({!Model_ir.first_deferred}). *)
+            "(0)"
+      in
+      Model_ir.Count_tbl.add r c s;
+      s
+
+let mult_py r (m : Model_ir.mult) : string =
   let term (sign, c) =
-    let body =
-      match c with
-      | Count.Closed e -> Printf.sprintf "(%s)" (Expr.to_python e)
-      | Count.Deferred _ ->
-          (* Closed form unavailable (e.g. parametric lattice
-             constraints): the OCaml evaluator enumerates; the Python
-             rendering contributes 0 and the entry's comment flags
-             it. *)
-          "(0)"
-    in
-    if sign >= 0 then "+ " ^ body else "- " ^ body
+    if sign >= 0 then "+ " ^ count_py r c else "- " ^ count_py r c
   in
   let sum = String.concat " " (List.map term m.terms) in
   let sum =
@@ -51,15 +64,17 @@ def bump(m, k, c):
    the entries (see {!Metric_gen.part}): for a function served from
    the incremental cache, emission degrades to splicing stored
    strings instead of re-walking very large multiplicity
-   expressions. *)
-let update_chunk (entry : Model_ir.entry) : string option =
+   expressions.  [r] carries the renderings of counts already seen in
+   the same function, whose entries over equal domains share one
+   physical count. *)
+let update_chunk r (entry : Model_ir.entry) : string option =
   match entry with
   | Model_ir.Call_site _ -> None
   | Model_ir.Update { line = src_line; label; counts; mult } ->
       let b = Buffer.create 256 in
       Buffer.add_string b
         (Printf.sprintf "    # line %d (%s)\n" src_line label);
-      let m = mult_py mult in
+      let m = mult_py r mult in
       List.iter
         (fun (mn, c) ->
           if c = 1 then
@@ -77,12 +92,13 @@ let emit_fmodel (model : Model_ir.t) (fm : Model_ir.fmodel) : string =
   List.iter (fun w -> line "# warning: %s" w) fm.mf_warnings;
   line "def %s(%s):" (Model_ir.python_name fm) (String.concat ", " fm.mf_params);
   line "    m = {}";
+  let r = renderings () in
   let chunks =
     (* in lockstep with mf_entries by construction; re-render if a
        hand-built model didn't populate the cache *)
     if List.length fm.mf_update_py = List.length fm.mf_entries then
       fm.mf_update_py
-    else List.map update_chunk fm.mf_entries
+    else List.map (update_chunk r) fm.mf_entries
   in
   List.iter2
     (fun entry chunk ->
@@ -90,7 +106,7 @@ let emit_fmodel (model : Model_ir.t) (fm : Model_ir.fmodel) : string =
       | Model_ir.Update _ -> (
           match chunk with
           | Some c -> Buffer.add_string b c
-          | None -> Option.iter (Buffer.add_string b) (update_chunk entry))
+          | None -> Option.iter (Buffer.add_string b) (update_chunk r entry))
       | Model_ir.Call_site { line = src_line; callee; bindings; mult } -> (
           match Model_ir.find model callee with
           | None -> line "    # line %d: external call %s (body not modeled)" src_line callee
@@ -109,7 +125,7 @@ let emit_fmodel (model : Model_ir.t) (fm : Model_ir.fmodel) : string =
                 (Printf.sprintf "    handle_function_call(m, %s(%s), "
                    (Model_ir.python_name cm)
                    (String.concat ", " args));
-              Buffer.add_string b (mult_py mult);
+              Buffer.add_string b (mult_py r mult);
               Buffer.add_string b ")\n"))
     fm.mf_entries chunks;
   line "    return m";

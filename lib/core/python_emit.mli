@@ -19,9 +19,19 @@ val emit_function : Model_ir.t -> string -> string
 val python_name_of : Model_ir.t -> string -> string
 (** Mangled name -> emitted Python name. *)
 
-val update_chunk : Model_ir.entry -> string option
+type renderings
+(** The Python text of counts already rendered, keyed by physical
+    identity.  Metric generation gives every entry over one iteration
+    domain the same count, so one table per function renders each
+    distinct count once. *)
+
+val renderings : unit -> renderings
+(** A fresh, empty table. *)
+
+val update_chunk : renderings -> Model_ir.entry -> string option
 (** The rendered Python of one [Update] entry ([None] for a
     [Call_site], whose text depends on the assembled model).  Pure in
-    the entry, so {!Metric_gen.build_part} precomputes it and a
-    cache-served function is emitted by splicing stored text instead
-    of re-rendering its multiplicity expressions. *)
+    the entry — the table only saves work — so
+    {!Metric_gen.build_part} precomputes it and a cache-served
+    function is emitted by splicing stored text instead of
+    re-rendering its multiplicity expressions. *)

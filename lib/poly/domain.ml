@@ -15,6 +15,38 @@ let add_level t l = { t with levels = t.levels @ [ l ] }
 let add_guard t g = { t with guards = t.guards @ [ g ] }
 let loop_vars t = List.map (fun l -> l.var) t.levels
 
+let equal_level a b =
+  String.equal a.var b.var && a.step = b.step && Poly.equal a.lo b.lo
+  && Poly.equal a.hi b.hi
+
+let equal_guard a b =
+  match (a, b) with
+  | Ge p, Ge q -> Poly.equal p q
+  | Mod_eq (p, m), Mod_eq (q, n) | Mod_ne (p, m), Mod_ne (q, n) ->
+      m = n && Poly.equal p q
+  | (Ge _ | Mod_eq _ | Mod_ne _), _ -> false
+
+let equal a b =
+  List.equal equal_level a.levels b.levels
+  && List.equal equal_guard a.guards b.guards
+
+let hash t =
+  let mix h x = (h * 65599) + x in
+  let h =
+    List.fold_left
+      (fun h l ->
+        mix (mix (mix (mix h (Hashtbl.hash l.var)) l.step) (Poly.hash l.lo))
+          (Poly.hash l.hi))
+      0 t.levels
+  in
+  List.fold_left
+    (fun h g ->
+      match g with
+      | Ge p -> mix (mix h 1) (Poly.hash p)
+      | Mod_eq (p, m) -> mix (mix (mix h 2) m) (Poly.hash p)
+      | Mod_ne (p, m) -> mix (mix (mix h 3) m) (Poly.hash p))
+    h t.guards
+
 let parameters t =
   let module S = Set.Make (String) in
   let lvars = S.of_list (loop_vars t) in

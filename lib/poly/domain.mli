@@ -37,6 +37,15 @@ val add_guard : t -> guard -> t
 val loop_vars : t -> string list
 (** Loop variables, outermost first. *)
 
+val equal : t -> t -> bool
+(** Same levels (variables, bounds, steps) and same guards, in order;
+    bounds and guards compare with {!Mira_symexpr.Poly.equal}, never
+    with polymorphic equality, which sees the internal shape of the
+    polynomial maps. *)
+
+val hash : t -> int
+(** Consistent with {!equal}. *)
+
 val parameters : t -> string list
 (** Free variables that are not loop indices, sorted. *)
 

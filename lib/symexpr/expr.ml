@@ -156,15 +156,21 @@ let rec eval_float lookup = function
       if eval_float lookup (P g) >= 0.0 then eval_float lookup a
       else eval_float lookup b
 
+(* One set threaded through the whole tree; [S.add] of a present
+   variable returns the set unchanged, so repeated leaves allocate
+   nothing. *)
 let vars e =
   let module S = Set.Make (String) in
+  let add_poly acc p =
+    Poly.fold_terms
+      (fun m _ acc -> List.fold_left (fun s (x, _) -> S.add x s) acc m)
+      p acc
+  in
   let rec go acc = function
-    | P p -> List.fold_left (fun s x -> S.add x s) acc (Poly.vars p)
+    | P p -> add_poly acc p
     | Add (a, b) | Mul (a, b) | Max (a, b) | Min (a, b) -> go (go acc a) b
     | Fdiv (a, _) | Cdiv (a, _) -> go acc a
-    | If (g, a, b) ->
-        let acc = List.fold_left (fun s x -> S.add x s) acc (Poly.vars g) in
-        go (go acc a) b
+    | If (g, a, b) -> go (go (add_poly acc g) a) b
   in
   S.elements (go S.empty e)
 

@@ -51,6 +51,8 @@ val eval_int : (string -> int) -> t -> int
 val eval_float : (string -> float) -> t -> float
 
 val vars : t -> string list
+(** Variables occurring anywhere in the expression, sorted, each once. *)
+
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -58,6 +58,13 @@ let sum = List.fold_left add zero
 let product = List.fold_left mul one
 let equal = M.equal Ratio.equal
 let compare = M.compare Ratio.compare
+
+(* Folds the terms in key order, so maps of different internal shape
+   that [equal] identifies hash alike. *)
+let hash p =
+  M.fold
+    (fun m c h -> (h * 65599) + Hashtbl.hash (m, Ratio.num c, Ratio.den c))
+    p 0
 let is_zero = M.is_empty
 
 let to_const p =

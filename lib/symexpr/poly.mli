@@ -34,6 +34,9 @@ val product : t list -> t
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
+val hash : t -> int
+(** Consistent with {!equal}: equal polynomials hash alike. *)
+
 val is_zero : t -> bool
 val to_const : t -> Ratio.t option
 (** [Some c] iff the polynomial is the constant [c]. *)

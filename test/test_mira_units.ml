@@ -868,6 +868,114 @@ let cache_tests =
           (static_bytes /. measured < 10.0 && measured /. static_bytes < 10.0));
   ]
 
+(* ---------- emitted-model pin ---------- *)
+
+let levels = Mira_codegen.Codegen.[ ("O0", O0); ("O1", O1); ("O2", O2) ]
+
+(* One MD5 over the emitted Python of every corpus program at every
+   optimization level.  Metric generation shares counts and renderings
+   between entries; none of that may change a byte of the output.  The
+   digest was computed before the sharing went in. *)
+let python_digest = "1b9e3d821357b6ce177730e4c6a4da3c"
+
+let digest_tests =
+  let open Alcotest in
+  [
+    test_case "emitted Python of the corpus is pinned" `Quick (fun () ->
+        let b = Buffer.create (1 lsl 20) in
+        List.iter
+          (fun (name, src) ->
+            List.iter
+              (fun (lname, level) ->
+                Buffer.add_string b (Printf.sprintf "== %s %s\n" name lname);
+                Buffer.add_string b
+                  (Mira_core.Mira.python_model
+                     (Mira_core.Mira.analyze ~level ~source_name:name src)))
+              levels)
+          Mira_corpus.Corpus.all;
+        check string "digest" python_digest
+          (Digest.to_hex (Digest.string (Buffer.contents b))));
+    test_case "object bytes equal a compile of the text" `Quick (fun () ->
+        (* the pipeline compiles the AST it already prepared; the
+           object must be the one a fresh parse of the text gives *)
+        List.iter
+          (fun (name, src) ->
+            List.iter
+              (fun (lname, level) ->
+                check string
+                  (Printf.sprintf "%s %s" name lname)
+                  (Mira_codegen.Codegen.compile_to_object ~level src)
+                  (Mira_core.Input_processor.process ~level ~source_name:name
+                     src)
+                    .object_bytes)
+              levels)
+          Mira_corpus.Corpus.all);
+    test_case "equal counts of miniFE assemble are one value" `Quick
+      (fun () ->
+        let open Mira_core in
+        let input =
+          Input_processor.process ~source_name:"minife.mc"
+            Mira_corpus.Corpus.minife
+        in
+        let bridge = Bridge.create input.binast in
+        let f =
+          List.find
+            (fun (f : Mira_srclang.Ast.func) ->
+              f.fname = "assemble" && f.fclass = None)
+            (Mira_srclang.Ast.all_functions input.ast)
+        in
+        let part = Metric_gen.build_part input.ast bridge f in
+        let terms =
+          (* the once-per-call overhead entry carries the fixed
+             [Model_ir.mult_one], not a domain count *)
+          List.concat_map
+            (function
+              | Model_ir.Update { label = "overhead"; _ } -> []
+              | Model_ir.Update { mult; _ } | Model_ir.Call_site { mult; _ } ->
+                  List.map snd mult.terms)
+            part.fp_entries
+        in
+        let same (a : Mira_poly.Count.result) (b : Mira_poly.Count.result) =
+          match (a, b) with
+          | Closed x, Closed y -> Mira_symexpr.Expr.equal x y
+          | Deferred x, Deferred y -> Mira_poly.Domain.equal x y
+          | _ -> false
+        in
+        (* entries over one domain share its count: every pair of
+           equal counts is one physical value *)
+        List.iter
+          (fun a ->
+            List.iter
+              (fun b ->
+                if same a b && not (a == b) then
+                  fail "equal counts are separate values")
+              terms)
+          terms;
+        let distinct =
+          List.fold_left
+            (fun acc t -> if List.memq t acc then acc else t :: acc)
+            [] terms
+        in
+        check bool "counts are shared" true
+          (List.length distinct < List.length terms));
+    test_case "second miniFE analysis allocates at most 22 MB" `Quick
+      (fun () ->
+        (* minor-heap words are exact for a given build.  With the
+           per-function count table this allocates 14.3 MB, without it
+           29.7 MB (72.3 MB before free-variable walks and renderings
+           were shared as well), so losing the table fails here *)
+        let analyze () =
+          ignore
+            (Mira_core.Mira.analyze ~source_name:"minife.mc"
+               Mira_corpus.Corpus.minife)
+        in
+        analyze ();
+        let w0 = Gc.minor_words () in
+        analyze ();
+        let mb = (Gc.minor_words () -. w0) *. 8.0 /. 1e6 in
+        if mb > 22.0 then failf "allocated %.1f MB" mb);
+  ]
+
 let () =
   Alcotest.run "mira-units"
     [
@@ -883,4 +991,5 @@ let () =
       ("exclusive", exclusive_tests);
       ("cache", cache_tests);
       ("liveness", liveness_tests);
+      ("digest", digest_tests);
     ]

@@ -521,6 +521,61 @@ let expr_simplify_props =
         < 1e-6);
   ]
 
+(* [Expr.vars] as it was first written: a set per node, turned into a
+   list through [Poly.vars] at every leaf.  The one-set version must
+   agree with it. *)
+let reference_vars e =
+  let module S = Set.Make (String) in
+  let rec go acc (e : Expr.t) =
+    match e with
+    | P p -> List.fold_left (fun s x -> S.add x s) acc (Poly.vars p)
+    | Add (a, b) | Mul (a, b) | Max (a, b) | Min (a, b) -> go (go acc a) b
+    | Fdiv (a, _) | Cdiv (a, _) -> go acc a
+    | If (g, a, b) ->
+        let acc = List.fold_left (fun s x -> S.add x s) acc (Poly.vars g) in
+        go (go acc a) b
+  in
+  S.elements (go S.empty e)
+
+let expr_vars_props =
+  let open QCheck.Gen in
+  let poly =
+    (* sums of small monomials over a wider variable pool, so leaves
+       and guards bring in overlapping and distinct names *)
+    let var = oneofl [ "a"; "b"; "n"; "x"; "y"; "z" ] in
+    let term =
+      map3
+        (fun c v e -> Poly.scale (Ratio.of_int c) (Poly.pow (Poly.var v) e))
+        (int_range (-3) 3) var (int_range 0 2)
+    in
+    map Poly.sum (list_size (int_range 0 3) term)
+  in
+  let gen =
+    fix
+      (fun self depth ->
+        if depth = 0 then map Expr.poly poly
+        else
+          let sub = self (depth - 1) in
+          frequency
+            [
+              (1, map Expr.poly poly);
+              (2, map2 Expr.add sub sub);
+              (2, map2 Expr.mul sub sub);
+              (1, map2 Expr.max_ sub sub);
+              (1, map2 Expr.min_ sub sub);
+              (1, map2 Expr.fdiv sub (int_range 1 4));
+              (1, map2 Expr.cdiv sub (int_range 1 4));
+              (1, map3 Expr.if_ poly sub sub);
+            ])
+      4
+  in
+  [
+    QCheck.Test.make ~name:"vars equals the reference definition"
+      ~count:1000
+      (QCheck.make ~print:Expr.to_string gen)
+      (fun e -> Expr.vars e = reference_vars e);
+  ]
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "symexpr"
@@ -535,4 +590,5 @@ let () =
       ("faulhaber-bulk-props", q faulhaber_bulk_props);
       ("expr", expr_tests);
       ("expr-simplify-props", q expr_simplify_props);
+      ("expr-vars-props", q expr_vars_props);
     ]
